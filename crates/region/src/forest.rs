@@ -11,6 +11,7 @@
 //! This is the static test the control-replication compiler relies on to
 //! avoid inserting copies between non-interfering partitions (§3.1).
 
+use crate::checksum::fnv1a_mix;
 use crate::field::FieldSpace;
 use regent_geometry::{Domain, DynPoint};
 use std::collections::HashMap;
@@ -121,11 +122,13 @@ pub struct RegionForest {
     /// Field space of each tree root (indexed in lockstep with the root's
     /// position in `roots`).
     root_fs: HashMap<RegionId, usize>,
-    /// Mutation counter, bumped by every structural change (region or
-    /// partition creation). Consumers that cache derived schedules —
-    /// the epoch-trace memoizer in `regent-runtime` — compare versions
-    /// to detect that a cached analysis went stale.
-    version: u64,
+    /// Content fingerprint, folded forward by every structural change
+    /// (region or partition creation) over the new nodes' domains,
+    /// parent links, and disjointness. Consumers that cache derived
+    /// schedules — the epoch-trace memoizer in `regent-runtime` —
+    /// compare fingerprints to detect that a cached analysis went
+    /// stale, including across distinct forests.
+    fingerprint: u64,
 }
 
 impl RegionForest {
@@ -138,6 +141,7 @@ impl RegionForest {
     /// space, returning the root region id.
     pub fn create_region(&mut self, domain: Domain, fields: FieldSpace) -> RegionId {
         let id = RegionId(self.regions.len() as u32);
+        self.fingerprint = fold_domain(fnv1a_mix(self.fingerprint, REGION_TAG), &domain);
         self.regions.push(RegionNode {
             domain,
             parent: None,
@@ -148,16 +152,18 @@ impl RegionForest {
         let fs_idx = self.field_spaces.len();
         self.field_spaces.push(fields);
         self.root_fs.insert(id, fs_idx);
-        self.version += 1;
         id
     }
 
-    /// The forest's structural version: incremented by every region or
-    /// partition creation. Equal versions on the same forest value mean
-    /// no region-tree mutation happened in between (the memoization
-    /// precondition of the implicit executor's epoch templates).
-    pub fn version(&self) -> u64 {
-        self.version
+    /// The forest's content fingerprint: a hash chained over every
+    /// region and partition creation in order — each new node's domain,
+    /// parent link, and disjointness. Forests built by the same
+    /// sequence of creations share a fingerprint; any extra creation,
+    /// or a different domain anywhere (two graphs partitioned the same
+    /// number of times), changes it. This is the memoization
+    /// precondition of the implicit executor's epoch templates.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// Creates a partition of `parent` from explicit `(color, domain)`
@@ -180,8 +186,13 @@ impl RegionForest {
         let parent_domain = parent_node.domain.clone();
         let mut children = Vec::with_capacity(subdomains.len());
         let mut child_index = HashMap::with_capacity(subdomains.len());
+        let disjoint = disjointness == Disjointness::Disjoint;
+        self.fingerprint = [PARTITION_TAG, parent.0 as u64, disjoint as u64]
+            .into_iter()
+            .fold(self.fingerprint, fnv1a_mix);
         for (color, dom) in subdomains {
             let clipped = dom.intersect(&parent_domain);
+            self.fingerprint = fold_domain(fold_point(self.fingerprint, color), &clipped);
             let rid = RegionId(self.regions.len() as u32);
             self.regions.push(RegionNode {
                 domain: clipped,
@@ -201,7 +212,6 @@ impl RegionForest {
             child_index,
         });
         self.regions[parent.0 as usize].partitions.push(pid);
-        self.version += 1;
         pid
     }
 
@@ -251,56 +261,69 @@ impl RegionForest {
         self.partitions.len()
     }
 
-    /// The chain of `(partition, color)` links from `r` up to its root
-    /// (nearest first).
-    fn ancestry(&self, mut r: RegionId) -> Vec<(PartitionId, Color, RegionId)> {
-        let mut out = Vec::new();
-        while let Some((p, c)) = self.regions[r.0 as usize].parent {
-            out.push((p, c, r));
-            r = self.partitions[p.0 as usize].parent;
-        }
-        out
+    /// One step up the tree: `r`'s parent region and the `(partition,
+    /// color)` link `r` hangs from.
+    ///
+    /// # Panics
+    /// If `r` is a tree root.
+    fn step_up(&self, r: RegionId) -> (RegionId, (PartitionId, Color)) {
+        let (p, c) = self.regions[r.0 as usize]
+            .parent
+            .expect("step_up from a root region");
+        (self.partitions[p.0 as usize].parent, (p, c))
     }
 
     /// The static disjointness test of §2.3: returns `true` only when the
     /// region tree *proves* `a` and `b` cannot share elements.
     ///
-    /// Walk both regions to their least common ancestor. If the paths
-    /// reach the LCA through the same partition but different colors, and
-    /// that partition is disjoint, the regions are disjoint. Any other
+    /// Walk both regions to their least common ancestor — the deeper one
+    /// first up to the other's depth, then both in lockstep — keeping
+    /// the link each path last came through. If the paths reach the LCA
+    /// through the same partition but different colors, and that
+    /// partition is disjoint, the regions are disjoint. Any other
     /// configuration (different partitions of the same region, aliased
     /// partition, ancestor/descendant relationship) must conservatively
-    /// answer `false`.
+    /// answer `false`. Allocation-free: the implicit executor calls this
+    /// for every region pair it meets.
     pub fn provably_disjoint(&self, a: RegionId, b: RegionId) -> bool {
         if a == b {
             return false;
         }
-        if self.regions[a.0 as usize].root != self.regions[b.0 as usize].root {
+        let depth = |r: RegionId| self.regions[r.0 as usize].depth;
+        if self.root_of(a) != self.root_of(b) {
             // Different trees never share elements.
             return true;
         }
-        // Paths from root down to each region: reverse ancestry.
-        let mut pa = self.ancestry(a);
-        let mut pb = self.ancestry(b);
-        pa.reverse();
-        pb.reverse();
-        // Find the first divergence.
-        let mut i = 0;
-        while i < pa.len() && i < pb.len() && pa[i].2 == pb[i].2 {
-            i += 1;
+        let (mut a, mut b) = (a, b);
+        let (mut link_a, mut link_b) = (None, None);
+        while depth(a) > depth(b) {
+            let (up, link) = self.step_up(a);
+            (a, link_a) = (up, Some(link));
         }
-        if i >= pa.len() || i >= pb.len() {
-            // One region is an ancestor of the other (or equal): overlap.
+        while depth(b) > depth(a) {
+            let (up, link) = self.step_up(b);
+            (b, link_b) = (up, Some(link));
+        }
+        if a == b {
+            // One region is an ancestor of the other: overlap.
             return false;
         }
-        let (p1, c1, _) = pa[i];
-        let (p2, c2, _) = pb[i];
-        if p1 == p2 && c1 != c2 {
-            return self.partitions[p1.0 as usize].disjointness == Disjointness::Disjoint;
+        // Equal depth, distinct regions, one tree: neither is the root,
+        // so both paths step up until they meet at the LCA.
+        while a != b {
+            let (up_a, la) = self.step_up(a);
+            let (up_b, lb) = self.step_up(b);
+            (a, link_a, b, link_b) = (up_a, Some(la), up_b, Some(lb));
         }
-        // Divergence through different partitions of the same region:
-        // nothing is proven statically.
-        false
+        let ((p1, c1), (p2, c2)) = (
+            link_a.expect("a stepped up at least once"),
+            link_b.expect("b stepped up at least once"),
+        );
+        // Divergence through different partitions of the same region
+        // proves nothing statically.
+        p1 == p2
+            && c1 != c2
+            && self.partitions[p1.0 as usize].disjointness == Disjointness::Disjoint
     }
 
     /// Exact dynamic disjointness: compares the actual domains. Used by
@@ -328,6 +351,27 @@ impl RegionForest {
     pub fn root_of(&self, r: RegionId) -> RegionId {
         self.regions[r.0 as usize].root
     }
+}
+
+/// Fingerprint word opening a region creation.
+const REGION_TAG: u64 = 1;
+/// Fingerprint word opening a partition creation.
+const PARTITION_TAG: u64 = 2;
+
+/// Folds a point (dimension, then coordinates) into fingerprint `h`.
+fn fold_point(h: u64, p: DynPoint) -> u64 {
+    p.coords()
+        .iter()
+        .fold(fnv1a_mix(h, p.dim() as u64), |h, &c| fnv1a_mix(h, c as u64))
+}
+
+/// Folds a domain (dimension, rectangle count, then each rectangle's
+/// bounds) into fingerprint `h`.
+fn fold_domain(h: u64, d: &Domain) -> u64 {
+    let h = fnv1a_mix(fnv1a_mix(h, d.dim() as u64), d.rects().len() as u64);
+    d.rects()
+        .iter()
+        .fold(h, |h, r| fold_point(fold_point(h, r.lo()), r.hi()))
 }
 
 impl fmt::Debug for RegionForest {
@@ -515,22 +559,59 @@ mod tests {
     }
 
     #[test]
-    fn version_tracks_structural_mutations() {
+    fn fingerprint_tracks_structural_mutations() {
         let mut f = RegionForest::new();
-        assert_eq!(f.version(), 0);
+        let empty = f.fingerprint();
         let r = f.create_region(Domain::range(10), FieldSpace::new());
-        let v1 = f.version();
-        assert!(v1 > 0);
+        let v1 = f.fingerprint();
+        assert_ne!(v1, empty);
         f.create_partition(
             r,
             Disjointness::Disjoint,
             vec![(DynPoint::from(0), Domain::range(5))],
         );
-        assert!(f.version() > v1, "partition creation must bump the version");
-        // Clones carry the version; queries do not perturb it.
+        assert_ne!(
+            f.fingerprint(),
+            v1,
+            "partition creation must change the fingerprint"
+        );
+        // Clones carry the fingerprint; queries do not perturb it.
         let snap = f.clone();
         let _ = f.provably_disjoint(r, r);
-        assert_eq!(snap.version(), f.version());
+        assert_eq!(snap.fingerprint(), f.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_is_content_addressed() {
+        // Same creation sequence → same fingerprint, even on separate
+        // forests; a different domain, disjointness, or creation count
+        // → a different one.
+        let build = |split: i64, disjointness: Disjointness| {
+            let mut f = RegionForest::new();
+            let r = f.create_region(Domain::range(10), FieldSpace::new());
+            f.create_partition(
+                r,
+                disjointness,
+                vec![
+                    (
+                        DynPoint::from(0),
+                        Domain::from_rect(DynRect::span(0, split)),
+                    ),
+                    (
+                        DynPoint::from(1),
+                        Domain::from_rect(DynRect::span(split + 1, 9)),
+                    ),
+                ],
+            );
+            f
+        };
+        let base = build(4, Disjointness::Disjoint).fingerprint();
+        assert_eq!(base, build(4, Disjointness::Disjoint).fingerprint());
+        assert_ne!(base, build(5, Disjointness::Disjoint).fingerprint());
+        assert_ne!(base, build(4, Disjointness::Aliased).fingerprint());
+        let mut grown = build(4, Disjointness::Disjoint);
+        grown.create_region(Domain::range(1), FieldSpace::new());
+        assert_ne!(base, grown.fingerprint());
     }
 
     #[test]

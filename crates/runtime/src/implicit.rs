@@ -2,23 +2,57 @@
 //! baseline ("Regent w/o CR" in Figures 6–9).
 //!
 //! A single control thread walks the program in issue order, performs
-//! dynamic dependence analysis for every point task against the window
-//! of in-flight tasks (the Legion model of §4.1: "Legion discovers
-//! parallelism between tasks by computing a dynamic dependence graph
-//! over the tasks in an executing program"), and hands ready tasks to a
-//! worker pool. Two tasks conflict when they touch possibly-overlapping
-//! regions with incompatible privileges; the analysis first consults
-//! the region tree (cheap, static) and falls back to exact domain
-//! overlap.
+//! dynamic dependence analysis for every point task (the Legion model
+//! of §4.1: "Legion discovers parallelism between tasks by computing a
+//! dynamic dependence graph over the tasks in an executing program"),
+//! and hands ready tasks to a worker pool. Two tasks conflict when they
+//! touch possibly-overlapping regions with incompatible privileges.
 //!
-//! This is precisely the architecture whose *per-task control overhead*
-//! grows with the machine: the control thread does O(N) analysis work
-//! per time step. The executor counts that work
+//! ## Region-indexed user lists
+//!
+//! Like Legion's region-tree analysis, the control thread keeps, per
+//! logical region, the list of *users* — earlier accesses (task,
+//! privilege) to that region not yet known to be ordered before some
+//! later access covering them. An *interference cache* maps each region
+//! to the regions seen so far that may share elements with it (same
+//! tree, not [`provably_disjoint`](regent_region::RegionForest::provably_disjoint),
+//! overlapping domains); it is filled once per region, the first time
+//! the region is accessed. A new access on `r` scans only the user
+//! lists of `r`'s interfering regions, skips reader–reader pairs, and
+//! records one edge per conflicting predecessor task.
+//!
+//! A mutating access (read-write or reduce) on `r` then *retires* the
+//! users it just ordered after itself: a user on `r` or on a
+//! subregion of `r` at once, any other user once the union of later
+//! mutators' domains covers its whole region (each mutator subtracts
+//! its domain from the user's `remaining` points). That is how a
+//! stencil's halo readers leave the lists once their neighbours' tiles
+//! are rewritten. Retirement is sound because any later access that
+//! conflicts with a retired user overlaps it at a point some later
+//! mutator covered; a mutator conflicts with every privilege, so the
+//! later access is ordered after that mutator (or, if the mutator was
+//! retired in turn, after the mutator covering the point next), which
+//! is itself ordered after the retired user. Orderings are therefore
+//! complete up to transitivity, which is all the happens-before
+//! relation (and the Spy validator, which certifies by graph
+//! reachability) needs.
+//!
+//! The control thread does O(N) analysis work per time step — one
+//! bounded scan per point task — and that is precisely the per-task
+//! overhead that grows with the machine. The executor counts it
 //! ([`ImplicitStats::dependence_checks`]) so the machine model in
 //! `regent-machine` can charge it when projecting to large node counts,
 //! and — when [`ImplicitOptions::tracer`] is enabled — records every
 //! launch, analysis span, dependence edge, and kernel run as structured
 //! events for the `regent-trace` consumers.
+//!
+//! Drains (scalar reductions and futures, memo fences) order everything
+//! issued before them, so they clear every user list. Past 4,096 live
+//! user records the lists drop users whose tasks already finished
+//! (their completion happened before any later launch). While a memo
+//! epoch is being captured, pruning waits until 65,536 records and then
+//! also poisons the epoch: a dropped intra-epoch predecessor would leave
+//! the template short an edge.
 //!
 //! Reduction privileges are serialized against each other here (rather
 //! than staged through temporaries), which keeps fold order identical
@@ -33,7 +67,7 @@
 //! (see [`crate::memo`]). A replayed epoch begins with a pool drain —
 //! the trace fence that orders everything older before it — and then
 //! issues each launch with the template's intra-epoch edges instead of
-//! scanning the window. Each replayed launch still resolves its region
+//! scanning user lists. Each replayed launch still resolves its region
 //! arguments and consults the [`Mapper`], so mapping decisions are
 //! honored identically with and without replay; only the analysis is
 //! skipped. Any divergence from the predicted template falls back to
@@ -45,7 +79,7 @@ use crate::memo::{self, EpochTemplate, MemoCache};
 use crate::metrics::{self, Counter, MetricsHandle, Timer};
 use regent_geometry::{Domain, DynPoint};
 use regent_ir::{interp::resolve_arg, ArgSlot, Privilege, Program, Stmt, Store, TaskCtx, TaskId};
-use regent_region::{Instance, RegionId};
+use regent_region::{Instance, RegionForest, RegionId};
 use regent_trace::{fields_mask, EventKind, PrivCode, TraceBuf, Tracer};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
@@ -97,13 +131,17 @@ impl Default for ImplicitOptions {
 pub struct ImplicitStats {
     /// Point tasks launched.
     pub tasks_launched: u64,
-    /// Pairwise dependence checks performed by the control thread —
-    /// the dynamic-analysis work that makes single-control-thread
-    /// execution stop scaling (§1).
+    /// Pairwise dependence checks performed by the control thread: one
+    /// per user record a new access examined in the lists of its
+    /// interfering regions — the dynamic-analysis work that makes
+    /// single-control-thread execution stop scaling (§1). Retirement
+    /// keeps each scan bounded by the accesses still live around the
+    /// region, so the count grows linearly with the tasks issued.
     pub dependence_checks: u64,
     /// Dependence edges recorded.
     pub dependence_edges: u64,
-    /// Peak size of the in-flight task window.
+    /// Peak number of live user records across all region user lists
+    /// (the analysis state a new access could have to scan).
     pub max_window: usize,
     /// Epochs captured as reusable memoization templates.
     pub memo_captures: u64,
@@ -113,7 +151,7 @@ pub struct ImplicitStats {
     pub memo_misses: u64,
     /// Template-cache invalidations observed (region-forest changes).
     pub memo_invalidations: u64,
-    /// Point tasks issued by replay, without a window scan.
+    /// Point tasks issued by replay, without dependence analysis.
     pub memo_replayed_tasks: u64,
 }
 
@@ -242,18 +280,144 @@ fn run_job(
     pool.complete_one();
 }
 
-/// A window record: a task's region accesses and its job handle.
-type WindowRecord = (Vec<(RegionId, Privilege)>, Arc<Job>);
+/// Live user records past which finished users are pruned.
+const PRUNE_AT: usize = 4096;
+/// Live user records past which a memo epoch under capture prunes
+/// anyway (and is poisoned).
+const EPOCH_PRUNE_AT: usize = 65536;
 
-/// Control-thread state: the window of issued, possibly-incomplete
-/// tasks.
-struct Window {
-    records: Vec<WindowRecord>,
+/// One live access in a region's user list.
+struct User {
+    privilege: Privilege,
+    job: Arc<Job>,
+    /// The part of the region no later mutator ordered after this user
+    /// has rewritten yet; `None` while that is still the whole region.
+    remaining: Option<Domain>,
 }
 
-impl Window {
+/// Control-thread dependence state: per-region user lists and the
+/// interference cache saying which lists an access must scan. Both are
+/// indexed by [`RegionId`] (the forest is fixed during an execution).
+struct Users {
+    lists: Vec<Vec<User>>,
+    /// Per region, the regions seen so far that may share elements with
+    /// it (itself included); `None` until the region is first accessed.
+    interference: Vec<Option<Vec<RegionId>>>,
+    /// Regions accessed so far, in first-access order.
+    seen: Vec<RegionId>,
+    /// Live user records across every list.
+    live: usize,
+}
+
+impl Users {
+    fn new(forest: &RegionForest) -> Self {
+        let n = forest.num_regions();
+        Users {
+            lists: (0..n).map(|_| Vec::new()).collect(),
+            interference: vec![None; n],
+            seen: Vec::new(),
+            live: 0,
+        }
+    }
+
+    /// Fills `r`'s interference entry on its first access, adding `r`
+    /// to the entries of the seen regions it may overlap.
+    fn note_region(&mut self, forest: &RegionForest, r: RegionId) {
+        if self.interference[r.0 as usize].is_some() {
+            return;
+        }
+        let dom = forest.domain(r);
+        let mut mine = Vec::new();
+        if !dom.is_empty() {
+            mine.push(r);
+        }
+        for &s in &self.seen {
+            // Regions of different trees are provably disjoint.
+            if !forest.provably_disjoint(r, s) && dom.overlaps(forest.domain(s)) {
+                mine.push(s);
+                self.interference[s.0 as usize]
+                    .as_mut()
+                    .expect("seen regions have an interference entry")
+                    .push(r);
+            }
+        }
+        self.seen.push(r);
+        self.interference[r.0 as usize] = Some(mine);
+    }
+
+    /// Dependence analysis of one access (`r`, `p`): scans the users of
+    /// every region interfering with `r`, adds each conflicting job to
+    /// `preds` once, and — when `p` mutates — retires the users this
+    /// access now covers. Returns the user records examined.
+    fn analyze(
+        &mut self,
+        forest: &RegionForest,
+        r: RegionId,
+        p: Privilege,
+        preds: &mut Vec<Arc<Job>>,
+    ) -> u64 {
+        self.note_region(forest, r);
+        let mutates = p != Privilege::Read;
+        let dom = forest.domain(r);
+        let mut checks = 0u64;
+        let mut retired = 0usize;
+        for &q in self.interference[r.0 as usize]
+            .as_deref()
+            .expect("noted above")
+        {
+            let covers = mutates && forest.is_ancestor_or_self(r, q);
+            self.lists[q.0 as usize].retain_mut(|u| {
+                checks += 1;
+                if !needs_edge(u.privilege, p) {
+                    return true;
+                }
+                if !preds.iter().any(|j| Arc::ptr_eq(j, &u.job)) {
+                    preds.push(Arc::clone(&u.job));
+                }
+                if !mutates {
+                    return true;
+                }
+                let keep = !covers && {
+                    let rest = u
+                        .remaining
+                        .as_ref()
+                        .unwrap_or(forest.domain(q))
+                        .subtract(dom);
+                    let keep = !rest.is_empty();
+                    u.remaining = Some(rest);
+                    keep
+                };
+                retired += usize::from(!keep);
+                keep
+            });
+        }
+        self.live -= retired;
+        checks
+    }
+
+    /// Appends a user of `r` (no analysis, no retirement).
+    fn push(&mut self, forest: &RegionForest, r: RegionId, privilege: Privilege, job: &Arc<Job>) {
+        self.note_region(forest, r);
+        self.lists[r.0 as usize].push(User {
+            privilege,
+            job: Arc::clone(job),
+            remaining: None,
+        });
+        self.live += 1;
+    }
+
+    /// Forgets every user: a drain ordered them all before what follows.
+    fn clear(&mut self) {
+        self.lists.iter_mut().for_each(Vec::clear);
+        self.live = 0;
+    }
+
+    /// Drops users whose tasks already finished.
     fn prune(&mut self) {
-        self.records.retain(|(_, j)| !j.done.load(Ordering::SeqCst));
+        for list in &mut self.lists {
+            list.retain(|u| !u.job.done.load(Ordering::SeqCst));
+        }
+        self.live = self.lists.iter().map(Vec::len).sum();
     }
 }
 
@@ -290,9 +454,9 @@ struct MemoRt {
 struct EpochRec {
     /// Outermost-loop iteration number (trace identity).
     step: u64,
-    /// Region-forest version the epoch runs against (stamped into any
-    /// template captured from it).
-    forest_version: u64,
+    /// Region-forest fingerprint the epoch runs against (stamped into
+    /// any template captured from it).
+    forest_fingerprint: u64,
     /// Launch signatures in issue order.
     sigs: Vec<u64>,
     /// Intra-epoch predecessor indices per launch — the template
@@ -310,8 +474,9 @@ struct EpochRec {
     cursor: usize,
     /// A replay diverged somewhere in this epoch.
     missed: bool,
-    /// The window overflowed mid-epoch and was pruned; the recorded
-    /// edges may be incomplete, so no template may be stored.
+    /// The user lists overflowed the hard cap mid-epoch and were
+    /// pruned; the recorded edges may be incomplete, so no template may
+    /// be stored.
     poisoned: bool,
     /// Pairwise dependence checks paid inside this epoch.
     checks: u64,
@@ -322,16 +487,16 @@ struct EpochRec {
 /// Opens a new epoch at an outermost-loop iteration boundary: closes
 /// the previous epoch, validates the template cache against the region
 /// forest, and decides between replay (fence + template) and capture.
-fn memo_begin_epoch(program: &Program, pool: &Pool, window: &mut Window, ctl: &mut Ctl, step: u64) {
+fn memo_begin_epoch(program: &Program, pool: &Pool, users: &mut Users, ctl: &mut Ctl, step: u64) {
     if ctl.memo.is_none() {
         return;
     }
     memo_end_epoch(ctl);
-    let version = program.forest.version();
+    let fingerprint = program.forest.fingerprint();
     let (replay, invalidated) = {
         let m = ctl.memo.as_ref().unwrap();
         let mut cache = m.cache.lock().unwrap();
-        let dropped = cache.validate_forest(version);
+        let dropped = cache.validate_forest(fingerprint);
         (
             cache
                 .predicted_template()
@@ -353,12 +518,12 @@ fn memo_begin_epoch(program: &Program, pool: &Pool, window: &mut Window, ctl: &m
         // epoch needs, so no cross-epoch analysis is required.
         pool.wait_drained();
         ctl.drained();
-        window.records.clear();
+        users.clear();
     }
     let m = ctl.memo.as_mut().unwrap();
     m.epoch = Some(EpochRec {
         step,
-        forest_version: version,
+        forest_fingerprint: fingerprint,
         sigs: Vec::new(),
         edges: Vec::new(),
         jobs: Vec::new(),
@@ -387,7 +552,7 @@ fn memo_end_epoch(ctl: &mut Ctl) {
         key,
         launch_sigs: ep.sigs.clone(),
         edges: ep.edges.clone(),
-        forest_version: ep.forest_version,
+        forest_fingerprint: ep.forest_fingerprint,
         capture_checks: ep.checks,
     };
     match (&ep.replay, ep.missed) {
@@ -530,9 +695,7 @@ pub fn execute_implicit(
             });
         }
 
-        let mut window = Window {
-            records: Vec::new(),
-        };
+        let mut users = Users::new(&program.forest);
         let route = Route {
             mapper: Arc::clone(&opts.mapper),
             num_workers: opts.num_workers,
@@ -544,7 +707,7 @@ pub fn execute_implicit(
             &inst_ptrs,
             &pool,
             &route,
-            &mut window,
+            &mut users,
             &mut ctl,
         );
         memo_end_epoch(&mut ctl);
@@ -579,7 +742,7 @@ fn exec_stmts(
     inst_ptrs: &std::collections::HashMap<RegionId, InstPtr>,
     pool: &Pool,
     route: &Route,
-    window: &mut Window,
+    users: &mut Users,
     ctl: &mut Ctl,
 ) {
     for s in stmts {
@@ -603,7 +766,7 @@ fn exec_stmts(
                         inst_ptrs,
                         pool,
                         route,
-                        window,
+                        users,
                         ctl,
                     );
                     launch_jobs.push(job);
@@ -626,7 +789,7 @@ fn exec_stmts(
                         });
                     }
                     env[var.0 as usize] = acc.unwrap_or_else(|| op.identity());
-                    window.records.clear();
+                    users.clear();
                 }
             }
             Stmt::SingleLaunch(sl) => {
@@ -643,7 +806,7 @@ fn exec_stmts(
                     inst_ptrs,
                     pool,
                     route,
-                    window,
+                    users,
                     ctl,
                 );
                 if let Some(var) = sl.result {
@@ -652,7 +815,7 @@ fn exec_stmts(
                     env[var.0 as usize] = job.ret.lock().unwrap().unwrap_or_else(|| {
                         panic!("task {} returned no value", program.task(sl.task).name)
                     });
-                    window.records.clear();
+                    users.clear();
                 }
             }
             Stmt::For { count, body } => {
@@ -660,10 +823,10 @@ fn exec_stmts(
                 for it in 0..n {
                     if ctl.loop_depth == 0 {
                         ctl.tb.instant(EventKind::StepBegin { step: it });
-                        memo_begin_epoch(program, pool, window, ctl, it);
+                        memo_begin_epoch(program, pool, users, ctl, it);
                     }
                     ctl.loop_depth += 1;
-                    exec_stmts(program, body, env, inst_ptrs, pool, route, window, ctl);
+                    exec_stmts(program, body, env, inst_ptrs, pool, route, users, ctl);
                     ctl.loop_depth -= 1;
                 }
                 if ctl.loop_depth == 0 {
@@ -675,10 +838,10 @@ fn exec_stmts(
                 while cond.eval(env) != 0.0 {
                     if ctl.loop_depth == 0 {
                         ctl.tb.instant(EventKind::StepBegin { step: it });
-                        memo_begin_epoch(program, pool, window, ctl, it);
+                        memo_begin_epoch(program, pool, users, ctl, it);
                     }
                     ctl.loop_depth += 1;
-                    exec_stmts(program, body, env, inst_ptrs, pool, route, window, ctl);
+                    exec_stmts(program, body, env, inst_ptrs, pool, route, users, ctl);
                     ctl.loop_depth -= 1;
                     it += 1;
                 }
@@ -692,9 +855,9 @@ fn exec_stmts(
                 else_body,
             } => {
                 if cond.eval(env) != 0.0 {
-                    exec_stmts(program, then_body, env, inst_ptrs, pool, route, window, ctl);
+                    exec_stmts(program, then_body, env, inst_ptrs, pool, route, users, ctl);
                 } else {
-                    exec_stmts(program, else_body, env, inst_ptrs, pool, route, window, ctl);
+                    exec_stmts(program, else_body, env, inst_ptrs, pool, route, users, ctl);
                 }
             }
             Stmt::SetScalar { var, expr } => env[var.0 as usize] = expr.eval(env),
@@ -702,8 +865,8 @@ fn exec_stmts(
     }
 }
 
-/// Issues one point task: dependence analysis against the window, then
-/// submission (deferred-execution style — the control thread never
+/// Issues one point task: dependence analysis against the user lists,
+/// then submission (deferred-execution style — the control thread never
 /// blocks on the task itself).
 #[allow(clippy::too_many_arguments)]
 fn issue_task(
@@ -716,7 +879,7 @@ fn issue_task(
     inst_ptrs: &std::collections::HashMap<RegionId, InstPtr>,
     pool: &Pool,
     route: &Route,
-    window: &mut Window,
+    users: &mut Users,
     ctl: &mut Ctl,
 ) -> Arc<Job> {
     let decl = program.task(task);
@@ -784,7 +947,7 @@ fn issue_task(
 
     // Epoch-trace memoization: while an epoch is open every launch gets
     // a structural signature; a predicted epoch replays template edges
-    // instead of scanning the window.
+    // instead of scanning user lists.
     let sig = match &ctl.memo {
         Some(m) if m.epoch.is_some() => Some(memo::launch_sig(task.0, &point, &accesses)),
         _ => None,
@@ -795,7 +958,7 @@ fn issue_task(
         if let Some(t) = &ep.replay {
             if ep.cursor < t.len() && t.launch_sigs[ep.cursor] == sig {
                 // Replay: apply the template's intra-epoch predecessors
-                // directly — no window scan, no analysis span. The
+                // directly — no list scan, no analysis span. The
                 // bookkeeping that remains (edge application) is
                 // recorded as a MemoReplay span, the memo-path
                 // counterpart of DepAnalysis in blame reports.
@@ -830,7 +993,7 @@ fn issue_task(
                 // Divergence: this epoch stopped matching the predicted
                 // template. Fall back to full analysis for the rest of
                 // the epoch — sound, because the replayed prefix sits
-                // in the window and the pre-epoch fence ordered
+                // in the user lists and the pre-epoch fence ordered
                 // everything older.
                 ctl.tb.instant(EventKind::MemoMiss {
                     epoch: ep.step,
@@ -848,65 +1011,44 @@ fn issue_task(
         // Dependence analysis (the per-task control overhead).
         let analysis_start = ctl.tb.now();
         let analysis_m0 = ctl.mx.start();
-        let checks_before = ctl.stats.dependence_checks;
+        let mut preds: Vec<Arc<Job>> = Vec::new();
+        let mut checks = 0u64;
+        for &(r, p) in &accesses {
+            checks += users.analyze(&program.forest, r, p, &mut preds);
+        }
+        // Issue order, so edge events and template predecessor lists are
+        // deterministic.
+        preds.sort_by_key(|j| (j.launch, j.pos));
         let mut n_deps = 0usize;
         let mut epoch_preds: Vec<u32> = Vec::new();
-        for (prev_acc, prev_job) in &window.records {
-            let mut conflict = false;
-            for &(r1, p1) in prev_acc {
-                for &(r2, p2) in &accesses {
-                    ctl.stats.dependence_checks += 1;
-                    if !needs_edge(p1, p2) {
-                        continue;
+        for prev_job in &preds {
+            // The edge is recorded even when the predecessor already
+            // finished: its completion happened-before this launch, so
+            // the ordering is real either way (the trace validator
+            // relies on it).
+            ctl.tb.instant(EventKind::DepEdge {
+                from_launch: prev_job.launch,
+                from_pos: prev_job.pos,
+                to_launch: launch,
+                to_pos: pos,
+            });
+            // Intra-epoch conflicts feed the template being captured.
+            if let Some(m) = &ctl.memo {
+                if let Some(ep) = &m.epoch {
+                    if let Some(&idx) = ep.index_of.get(&(Arc::as_ptr(prev_job) as usize)) {
+                        epoch_preds.push(idx);
                     }
-                    if program.forest.root_of(r1) != program.forest.root_of(r2) {
-                        continue;
-                    }
-                    if program.forest.provably_disjoint(r1, r2) {
-                        continue;
-                    }
-                    if program
-                        .forest
-                        .domain(r1)
-                        .overlaps(program.forest.domain(r2))
-                    {
-                        conflict = true;
-                        break;
-                    }
-                }
-                if conflict {
-                    break;
                 }
             }
-            if conflict {
-                // The edge is recorded even when the predecessor already
-                // finished: its completion happened-before this launch, so
-                // the ordering is real either way (the trace validator
-                // relies on it).
-                ctl.tb.instant(EventKind::DepEdge {
-                    from_launch: prev_job.launch,
-                    from_pos: prev_job.pos,
-                    to_launch: launch,
-                    to_pos: pos,
-                });
-                // Intra-epoch conflicts feed the template being captured.
-                if let Some(m) = &ctl.memo {
-                    if let Some(ep) = &m.epoch {
-                        if let Some(&idx) = ep.index_of.get(&(Arc::as_ptr(prev_job) as usize)) {
-                            epoch_preds.push(idx);
-                        }
-                    }
-                }
-                // Register the edge unless the predecessor already finished.
-                let mut deps = prev_job.dependents.lock().unwrap();
-                if !prev_job.done.load(Ordering::SeqCst) {
-                    job.remaining.fetch_add(1, Ordering::SeqCst);
-                    deps.push(Arc::clone(&job));
-                    n_deps += 1;
-                }
+            // Register the edge unless the predecessor already finished.
+            let mut deps = prev_job.dependents.lock().unwrap();
+            if !prev_job.done.load(Ordering::SeqCst) {
+                job.remaining.fetch_add(1, Ordering::SeqCst);
+                deps.push(Arc::clone(&job));
+                n_deps += 1;
             }
         }
-        let checks = ctl.stats.dependence_checks - checks_before;
+        ctl.stats.dependence_checks += checks;
         ctl.tb.span_since(
             analysis_start,
             EventKind::DepAnalysis {
@@ -930,8 +1072,10 @@ fn issue_task(
     if job.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
         pool.submit(Arc::clone(&job));
     }
-    window.records.push((accesses, Arc::clone(&job)));
-    ctl.stats.max_window = ctl.stats.max_window.max(window.records.len());
+    for &(r, p) in &accesses {
+        users.push(&program.forest, r, p, &job);
+    }
+    ctl.stats.max_window = ctl.stats.max_window.max(users.live);
     // Record the launch in the open epoch (both modes), keeping `sigs`
     // parallel to the `edges` entry pushed above.
     if let Some(sig) = sig {
@@ -941,17 +1085,17 @@ fn issue_task(
         ep.sigs.push(sig);
         ep.jobs.push(Arc::clone(&job));
     }
-    if window.records.len() > 4096 {
+    if users.live > PRUNE_AT {
         if sig.is_none() {
-            window.prune();
-        } else if window.records.len() > 65536 {
+            users.prune();
+        } else if users.live > EPOCH_PRUNE_AT {
             // Pruning mid-epoch can drop a completed intra-epoch
             // predecessor and leave the captured template missing an
-            // edge, so while an epoch is open the window only shrinks
+            // edge, so while an epoch is open the lists only shrink
             // past a hard cap — and the epoch is poisoned (no template
             // stored).
             ctl.memo.as_mut().unwrap().epoch.as_mut().unwrap().poisoned = true;
-            window.prune();
+            users.prune();
         }
     }
     job

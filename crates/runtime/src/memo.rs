@@ -24,11 +24,12 @@
 //!   against the template instead of scanning the in-flight window.
 //!   Any divergence falls back transparently to full analysis for the
 //!   rest of the epoch.
-//! * Templates are validated against the region forest's structural
-//!   [`version`](regent_region::RegionForest::version): any region or
-//!   partition created since capture invalidates the whole cache (the
-//!   conflict edges were derived from a region tree that no longer
-//!   exists).
+//! * Templates are validated against the region forest's content
+//!   [`fingerprint`](regent_region::RegionForest::fingerprint): any
+//!   region or partition created since capture — or a different forest
+//!   altogether, such as another graph's circuit sharing one cache —
+//!   invalidates the whole cache (the conflict edges were derived from
+//!   a region tree that is not the one being executed).
 //!
 //! The cache is shareable across executions
 //! ([`MemoCache::shared`]) so steady-state programs re-entered with the
@@ -95,8 +96,8 @@ pub struct EpochTemplate {
     /// Per-launch intra-epoch predecessor indices (each `< ` its own
     /// position).
     pub edges: Vec<Vec<u32>>,
-    /// Region-forest version the analysis was captured against.
-    pub forest_version: u64,
+    /// Region-forest fingerprint the analysis was captured against.
+    pub forest_fingerprint: u64,
     /// Pairwise dependence checks the capture paid — the cost a replay
     /// of this template avoids.
     pub capture_checks: u64,
@@ -124,21 +125,21 @@ pub struct MemoStats {
     pub hits: u64,
     /// Replay attempts that diverged and fell back to analysis.
     pub misses: u64,
-    /// Cache invalidations (forest version changes).
+    /// Cache invalidations (forest fingerprint changes).
     pub invalidations: u64,
     /// Point tasks issued without any dependence analysis.
     pub replayed_tasks: u64,
 }
 
 /// The epoch-template cache: keyed by [`epoch_key`], validated against
-/// the region forest's structural version, shareable across executions
+/// the region forest's content fingerprint, shareable across executions
 /// via [`MemoCache::shared`].
 #[derive(Debug, Default)]
 pub struct MemoCache {
     templates: HashMap<u64, EpochTemplate>,
-    /// Forest version every cached template is valid for (`None` until
-    /// the first validation).
-    forest_version: Option<u64>,
+    /// Forest fingerprint every cached template is valid for (`None`
+    /// until the first validation).
+    forest_fingerprint: Option<u64>,
     /// Key of the most recently completed epoch — the replay prediction
     /// for the next one (steady-state loops repeat their epoch).
     predicted: Option<u64>,
@@ -168,29 +169,28 @@ impl MemoCache {
         self.templates.is_empty()
     }
 
-    /// Validates the cache against the current forest version: on
+    /// Validates the cache against the current forest fingerprint: on
     /// mismatch every template is dropped (their conflict edges were
-    /// derived from a region tree that no longer exists) and the number
-    /// of invalidated templates is returned; `0` means the cache is
-    /// still valid.
-    pub fn validate_forest(&mut self, version: u64) -> usize {
-        match self.forest_version {
-            Some(v) if v == version => 0,
-            Some(_) => {
-                let dropped = self.templates.len();
-                self.templates.clear();
-                self.predicted = None;
-                self.forest_version = Some(version);
-                if dropped > 0 {
-                    self.stats.invalidations += 1;
-                }
-                dropped
-            }
-            None => {
-                self.forest_version = Some(version);
-                0
-            }
+    /// derived from a different region tree) and the number of
+    /// invalidated templates is returned; `0` means the cache is still
+    /// valid.
+    pub fn validate_forest(&mut self, fingerprint: u64) -> usize {
+        match self.forest_fingerprint.replace(fingerprint) {
+            Some(f) if f != fingerprint => self.invalidate_all(),
+            _ => 0,
         }
+    }
+
+    /// Drops every template and the prediction, counting one
+    /// invalidation when anything was dropped.
+    fn invalidate_all(&mut self) -> usize {
+        let dropped = self.templates.len();
+        self.templates.clear();
+        self.predicted = None;
+        if dropped > 0 {
+            self.stats.invalidations += 1;
+        }
+        dropped
     }
 
     /// Invalidates the cache after a corruption repair rolled region
@@ -202,13 +202,7 @@ impl MemoCache {
     /// recaptures) and cheap at the frequency corruptions occur.
     /// Returns the number of templates dropped.
     pub fn invalidate_for_repair(&mut self) -> usize {
-        let dropped = self.templates.len();
-        self.templates.clear();
-        self.predicted = None;
-        if dropped > 0 {
-            self.stats.invalidations += 1;
-        }
-        dropped
+        self.invalidate_all()
     }
 
     /// The template for `key`, if cached.
@@ -276,27 +270,31 @@ mod tests {
         assert_eq!(epoch_key(&[7, 9]), epoch_key(&[7, 9]));
     }
 
-    fn template(key: u64, version: u64) -> EpochTemplate {
+    fn template(key: u64, fingerprint: u64) -> EpochTemplate {
         EpochTemplate {
             key,
             launch_sigs: vec![key],
             edges: vec![vec![]],
-            forest_version: version,
+            forest_fingerprint: fingerprint,
             capture_checks: 0,
         }
     }
 
     #[test]
-    fn cache_validates_against_forest_version() {
+    fn cache_validates_against_forest_fingerprint() {
         let mut c = MemoCache::new();
         assert_eq!(c.validate_forest(5), 0, "first validation just records");
         assert!(c.insert(template(1, 5)));
         assert!(!c.insert(template(1, 5)), "first occurrence wins");
         c.set_predicted(1);
         assert!(c.predicted_template().is_some());
-        assert_eq!(c.validate_forest(5), 0, "same version keeps templates");
+        assert_eq!(c.validate_forest(5), 0, "same fingerprint keeps templates");
         assert_eq!(c.len(), 1);
-        assert_eq!(c.validate_forest(6), 1, "version change drops the cache");
+        assert_eq!(
+            c.validate_forest(6),
+            1,
+            "fingerprint change drops the cache"
+        );
         assert!(c.is_empty());
         assert!(c.predicted_template().is_none());
         assert_eq!(c.stats.invalidations, 1);

@@ -531,7 +531,7 @@ fn escalation_invalidates_memo_cache() {
             key: 9,
             launch_sigs: vec![9],
             edges: vec![vec![]],
-            forest_version: 1,
+            forest_fingerprint: 1,
             capture_checks: 0,
         });
         assert!(!m.is_empty());

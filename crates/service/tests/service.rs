@@ -396,3 +396,44 @@ fn soak_every_job_reaches_exactly_one_outcome() {
     assert_eq!(stats.completed, total_completed);
     assert_eq!(stats.shed, total_shed);
 }
+
+/// A tenant's one memo cache serves every program that tenant submits.
+/// Two circuit graphs (different seeds) build their forests through the
+/// same sequence of creations, so only the forests' *content* tells
+/// them apart: the second graph must drop the first one's templates
+/// (an invalidation) and capture its own, never replay a schedule whose
+/// edges came from the other graph.
+#[test]
+fn shared_memo_cache_never_replays_another_graphs_template() {
+    use regent_runtime::{execute_implicit, ImplicitOptions, MemoCache};
+    let cache = MemoCache::shared();
+    let memoized = |seed: u64| {
+        let factory = jobs::circuit_factory(seed);
+        let (prog, mut store) = factory();
+        let roots = prog.root_regions();
+        let opts = ImplicitOptions::with_workers(2).with_memo(Arc::clone(&cache));
+        let (env, stats) = execute_implicit(&prog, &mut store, opts);
+        let digest = digest_store(&prog.forest, &store, &roots, &env);
+        (digest, solo_digest(&factory), stats)
+    };
+    let (got, want, first) = memoized(7);
+    assert_eq!(got, want, "first graph must match the interpreter");
+    assert!(first.memo_hits > 0, "first graph replays its own template");
+    let (got, want, second) = memoized(11);
+    assert_eq!(
+        got, want,
+        "second graph must match the interpreter bit for bit"
+    );
+    assert_eq!(
+        second.memo_invalidations, 1,
+        "the other graph's templates must be invalidated"
+    );
+    assert_eq!(
+        second.memo_captures, 1,
+        "the second graph's first epoch is captured, not replayed"
+    );
+    assert_eq!(
+        second.memo_hits, first.memo_hits,
+        "each graph replays only the template it captured itself"
+    );
+}
